@@ -33,6 +33,7 @@ use naspipe_core::config::PipelineConfig;
 use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_core::runtime::run_threaded_observed;
 use naspipe_core::train::{replay_training, TrainConfig};
+use naspipe_obs::{parse_json, JsonValue};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_tensor::pool;
@@ -712,96 +713,6 @@ impl BenchCheck {
     }
 }
 
-/// The balanced `{..}`/`[..]` value (delimiters included) following the
-/// first `"key":`, depth-aware and string-safe — the schema-2 artifact
-/// nests objects inside `runs`, so a first-closer scan would truncate.
-fn json_block<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = json.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let bytes = json.as_bytes();
-    let mut i = at;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    let open = *bytes.get(i)?;
-    let close = match open {
-        b'{' => b'}',
-        b'[' => b']',
-        _ => return None,
-    };
-    let start = i;
-    let mut depth = 0usize;
-    let mut in_str = false;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if b == b'\\' {
-                i += 2;
-                continue;
-            }
-            if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == open {
-            depth += 1;
-        } else if b == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&json[start..=i]);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Splits a bracketed array body into its top-level `{..}` elements.
-fn split_objects(array: &str) -> Vec<&str> {
-    let bytes = array.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut start = None;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if b == b'\\' {
-                i += 2;
-                continue;
-            }
-            if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == b'{' {
-            if depth == 0 {
-                start = Some(i);
-            }
-            depth += 1;
-        } else if b == b'}' {
-            depth -= 1;
-            if depth == 0 {
-                if let Some(s) = start.take() {
-                    out.push(&array[s..=i]);
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Numeric field of a JSON object body (first occurrence of the key).
-fn json_num(obj: &str, key: &str) -> Option<f64> {
-    let start = obj.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let rest = &obj[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Compares a fresh matrix against a tracked schema-2
 /// `BENCH_compute.json`, run by run (matched on `threads`). Kernel
 /// throughputs (tiled/fused/batched GFLOP/s) are judged under
@@ -812,17 +723,19 @@ fn json_num(obj: &str, key: &str) -> Option<f64> {
 ///
 /// # Errors
 ///
-/// Returns a message when `baseline_json` is the legacy single-run
-/// schema (re-record it) or has no run in common with the fresh matrix.
+/// Returns a message when `baseline_json` is not valid JSON, is the
+/// legacy single-run schema (re-record it) or has no run in common with
+/// the fresh matrix.
 pub fn check_against(
     baseline_json: &str,
     fresh: &ComputeMatrix,
     threshold: f64,
     e2e_threshold: f64,
 ) -> Result<BenchCheck, String> {
-    let Some(runs_arr) = json_block(baseline_json, "runs") else {
-        if baseline_json.contains("\"bench\":\"compute\"")
-            || json_block(baseline_json, "matmul").is_some()
+    let doc = parse_json(baseline_json).map_err(|e| format!("baseline is not JSON: {e}"))?;
+    let Some(runs) = doc.get("runs").and_then(JsonValue::as_arr) else {
+        if doc.get("bench").and_then(JsonValue::as_str) == Some("compute")
+            || doc.get("matmul").is_some()
         {
             return Err(
                 "baseline is the legacy single-run BENCH_compute.json (schema 1, no \
@@ -865,91 +778,81 @@ pub fn check_against(
         }
     };
 
-    for base_run in split_objects(runs_arr) {
-        let Some(threads) = json_num(base_run, "threads") else {
+    let num = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_f64);
+    for base_run in runs {
+        let Some(threads) = num(base_run, "threads") else {
             continue;
         };
         let t = threads as usize;
         let Some(fresh_run) = fresh.runs.iter().find(|r| r.threads == t) else {
             continue;
         };
-        if let Some(arr) = json_block(base_run, "matmul") {
-            for obj in split_objects(arr) {
-                let (Some(m), Some(k), Some(n), Some(base)) = (
-                    json_num(obj, "m"),
-                    json_num(obj, "k"),
-                    json_num(obj, "n"),
-                    json_num(obj, "tiled_gflops"),
-                ) else {
-                    continue;
-                };
-                if let Some(s) = fresh_run
-                    .matmul
-                    .iter()
-                    .find(|s| (s.m, s.k, s.n) == (m as usize, k as usize, n as usize))
-                {
-                    push(
-                        format!("matmul {}x{}x{} tiled GF/s @{t}t", s.m, s.k, s.n),
-                        CheckFamily::Kernel,
-                        false,
-                        base,
-                        s.tiled_gflops,
-                    );
-                }
-            }
-        }
-        if let Some(arr) = json_block(base_run, "transposed") {
-            for obj in split_objects(arr) {
-                let Some(base) = json_num(obj, "gflops") else {
-                    continue;
-                };
-                if let Some(tr) = fresh_run
-                    .transposed
-                    .iter()
-                    .find(|tr| obj.contains(&format!("\"op\":\"{}\"", tr.op)))
-                {
-                    push(
-                        format!("{} fused GF/s @{t}t", tr.op),
-                        CheckFamily::Kernel,
-                        false,
-                        base,
-                        tr.gflops,
-                    );
-                }
-            }
-        }
-        if let Some(obj) = json_block(base_run, "batched") {
-            if let Some(base) = json_num(obj, "batched_gflops") {
+        let items = |key: &str| base_run.get(key).and_then(JsonValue::as_arr).unwrap_or(&[]);
+        for obj in items("matmul") {
+            let (Some(m), Some(k), Some(n), Some(base)) = (
+                num(obj, "m"),
+                num(obj, "k"),
+                num(obj, "n"),
+                num(obj, "tiled_gflops"),
+            ) else {
+                continue;
+            };
+            if let Some(s) = fresh_run
+                .matmul
+                .iter()
+                .find(|s| (s.m, s.k, s.n) == (m as usize, k as usize, n as usize))
+            {
                 push(
-                    format!("matmul batched GF/s @{t}t"),
+                    format!("matmul {}x{}x{} tiled GF/s @{t}t", s.m, s.k, s.n),
                     CheckFamily::Kernel,
                     false,
                     base,
-                    fresh_run.batched.batched_gflops,
+                    s.tiled_gflops,
                 );
             }
         }
-        if let Some(obj) = json_block(base_run, "replay") {
-            if let Some(base) = json_num(obj, "subnets_per_s") {
+        for obj in items("transposed") {
+            let Some(base) = num(obj, "gflops") else {
+                continue;
+            };
+            let op = obj.get("op").and_then(JsonValue::as_str);
+            if let Some(tr) = fresh_run.transposed.iter().find(|tr| op == Some(tr.op)) {
                 push(
-                    format!("replay subnets/s @{t}t"),
-                    CheckFamily::EndToEnd,
+                    format!("{} fused GF/s @{t}t", tr.op),
+                    CheckFamily::Kernel,
                     false,
                     base,
-                    fresh_run.replay_subnets_per_s,
+                    tr.gflops,
                 );
             }
         }
-        if let Some(obj) = json_block(base_run, "threaded") {
-            if let Some(base) = json_num(obj, "makespan_us") {
-                push(
-                    format!("threaded makespan us @{t}t"),
-                    CheckFamily::EndToEnd,
-                    true,
-                    base,
-                    fresh_run.threaded_makespan_us as f64,
-                );
-            }
+        let field = |obj: &str, key: &str| base_run.get(obj).and_then(|o| num(o, key));
+        if let Some(base) = field("batched", "batched_gflops") {
+            push(
+                format!("matmul batched GF/s @{t}t"),
+                CheckFamily::Kernel,
+                false,
+                base,
+                fresh_run.batched.batched_gflops,
+            );
+        }
+        if let Some(base) = field("replay", "subnets_per_s") {
+            push(
+                format!("replay subnets/s @{t}t"),
+                CheckFamily::EndToEnd,
+                false,
+                base,
+                fresh_run.replay_subnets_per_s,
+            );
+        }
+        if let Some(base) = field("threaded", "makespan_us") {
+            push(
+                format!("threaded makespan us @{t}t"),
+                CheckFamily::EndToEnd,
+                true,
+                base,
+                fresh_run.threaded_makespan_us as f64,
+            );
         }
     }
 
@@ -1225,22 +1128,87 @@ mod tests {
         // (and the tracked artifact therefore uses): runs is an array of
         // objects that themselves hold arrays and objects.
         let matrix = fabricated_matrix();
-        let json = render_json(&matrix);
-        let runs = json_block(&json, "runs").unwrap();
-        assert!(runs.starts_with('[') && runs.ends_with(']'));
-        let objs = split_objects(runs);
-        assert_eq!(objs.len(), 3);
-        assert_eq!(json_num(objs[1], "threads"), Some(4.0));
-        let mm = json_block(objs[1], "matmul").unwrap();
-        assert_eq!(split_objects(mm).len(), 2);
-        assert_eq!(
-            json_num(json_block(objs[1], "replay").unwrap(), "subnets_per_s"),
-            Some(50.0)
-        );
-        assert_eq!(
-            json_num(json_block(objs[2], "threaded").unwrap(), "makespan_us"),
-            Some(1234.0)
-        );
+        let check = check_against(&render_json(&matrix), &matrix, 0.15, 0.35).unwrap();
+        let at = |t: usize| -> Vec<&CheckRow> {
+            let tag = format!("@{t}t");
+            check
+                .rows
+                .iter()
+                .filter(|r| r.metric.ends_with(&tag))
+                .collect()
+        };
+        for t in [1, 4, 8] {
+            assert_eq!(at(t).len(), 6, "run with {t} threads");
+        }
+        let four = at(4);
+        let matmul_rows = four.iter().filter(|r| r.metric.contains(" tiled GF/s"));
+        assert_eq!(matmul_rows.count(), 2);
+        let value = |rows: &[&CheckRow], prefix: &str| {
+            rows.iter()
+                .find(|r| r.metric.starts_with(prefix))
+                .unwrap()
+                .baseline
+        };
+        assert_eq!(value(&four, "replay subnets/s"), 50.0);
+        assert_eq!(value(&at(8), "threaded makespan us"), 1234.0);
+    }
+
+    /// The matrix a fresh run would produce if it measured exactly the
+    /// values recorded in a schema-2 artifact.
+    fn matrix_recorded_in(artifact: &JsonValue) -> ComputeMatrix {
+        let num = |o: &JsonValue, k: &str| o.get(k).and_then(JsonValue::as_f64).unwrap();
+        let arr = |o: &JsonValue, k: &str| o.get(k).and_then(JsonValue::as_arr).unwrap().to_vec();
+        let runs = arr(artifact, "runs")
+            .iter()
+            .map(|run| {
+                let mut r = fabricated_run(num(run, "threads") as usize);
+                let template = r.matmul[0].clone();
+                r.matmul = arr(run, "matmul")
+                    .iter()
+                    .map(|o| MatmulBench {
+                        m: num(o, "m") as usize,
+                        k: num(o, "k") as usize,
+                        n: num(o, "n") as usize,
+                        tiled_gflops: num(o, "tiled_gflops"),
+                        ..template.clone()
+                    })
+                    .collect();
+                let template = r.transposed[0].clone();
+                r.transposed = arr(run, "transposed")
+                    .iter()
+                    .map(|o| TransposedBench {
+                        op: ["matmul_t", "t_matmul"]
+                            .into_iter()
+                            .find(|&op| o.get("op").and_then(JsonValue::as_str) == Some(op))
+                            .unwrap(),
+                        gflops: num(o, "gflops"),
+                        ..template.clone()
+                    })
+                    .collect();
+                r.batched.batched_gflops = num(run.get("batched").unwrap(), "batched_gflops");
+                r.replay_subnets_per_s = num(run.get("replay").unwrap(), "subnets_per_s");
+                r.threaded_makespan_us = num(run.get("threaded").unwrap(), "makespan_us") as u64;
+                r
+            })
+            .collect();
+        ComputeMatrix {
+            host_parallelism: 1,
+            runs,
+        }
+    }
+
+    #[test]
+    fn committed_artifact_checks_clean_against_itself() {
+        let text = include_str!("../../../../BENCH_compute.json");
+        let recorded = matrix_recorded_in(&parse_json(text).unwrap());
+        let check = check_against(text, &recorded, 0.15, 0.35).unwrap();
+        let expected: usize = recorded
+            .runs
+            .iter()
+            .map(|r| r.matmul.len() + r.transposed.len() + 3)
+            .sum();
+        assert_eq!(check.rows.len(), expected);
+        assert!(check.regressions().is_empty(), "{}", render_check(&check));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use naspipe_core::runtime::{run_threaded_telemetry, RecoveryOptions};
 use naspipe_core::train::TrainConfig;
 use naspipe_obs::telemetry::diff_against_report;
 use naspipe_obs::{
-    counter_values, monotonicity_violations, scrape, validate_exposition, MetricsServer, RunMeta,
+    counter_values, http_get, monotonicity_violations, validate_exposition, MetricsServer, RunMeta,
     TelemetryHub, TelemetryOptions,
 };
 use naspipe_supernet::space::{SearchSpace, SpaceId};
@@ -98,7 +98,13 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
     let meta = RunMeta::new("threaded", gpus).seed(crate::SEED);
     let mut server =
         MetricsServer::bind("127.0.0.1:0", Arc::clone(&hub), meta).expect("bind ephemeral port");
-    let addr = server.local_addr();
+    let addr = server.local_addr().to_string();
+    let scrape = || {
+        http_get(&addr, "/metrics")
+            .ok()
+            .filter(|r| r.status == 200)
+            .map(|r| r.body)
+    };
     // Sample fast (2 ms) so even a short run publishes a real series.
     let opts = TelemetryOptions::new(Arc::clone(&hub)).with_interval_us(2_000);
 
@@ -125,7 +131,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         if worker.is_finished() {
             break;
         }
-        if let Ok(body) = scrape(addr) {
+        if let Some(body) = scrape() {
             scrapes.push(body);
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -136,7 +142,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         .expect("telemetry run thread")
         .expect("telemetry training run");
     // One more scrape after the final snapshot was published.
-    scrapes.push(scrape(addr).expect("final scrape"));
+    scrapes.push(scrape().expect("final scrape answers 200"));
     server.shutdown();
 
     let mut validation_errors = Vec::new();
@@ -166,7 +172,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         .sum();
 
     TelemetryRun {
-        addr: addr.to_string(),
+        addr,
         mid_scrapes,
         snapshots_published: hub.published(),
         samples_dropped: hub.samples_dropped(),

@@ -35,7 +35,6 @@ use naspipe_sim::cluster::Cluster;
 use naspipe_sim::event::EventQueue;
 use naspipe_sim::gpu::GpuId;
 use naspipe_sim::time::{SimDuration, SimTime};
-use naspipe_sim::trace::{Trace, TraceKind};
 use naspipe_supernet::layer::{Domain, LayerRef};
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -71,8 +70,6 @@ pub struct PipelineOutcome {
     pub report: PipelineReport,
     /// Every executed task, ordered by `(start, dispatch order)`.
     pub tasks: Vec<TaskRecord>,
-    /// Detailed trace of compute/swap/stall events.
-    pub trace: Trace,
     /// The subnets trained, in exploration order.
     pub subnets: Vec<Subnet>,
     /// Per-stage observability metrics (queue depth, preemptions,
@@ -329,7 +326,6 @@ struct Engine<'a> {
     injected: u64,
     completed: u64,
     records: Vec<TaskRecord>,
-    trace: Trace,
     injection: Injection,
     use_csp: bool,
     use_predictor: bool,
@@ -467,7 +463,6 @@ impl<'a> Engine<'a> {
             injected: 0,
             completed: 0,
             records: Vec::new(),
-            trace: Trace::new(),
             injection,
             use_csp,
             use_predictor,
@@ -644,11 +639,6 @@ impl<'a> Engine<'a> {
             if traced && gate.is_none_or(|(_, t)| end > t) {
                 gate = Some((fetch_span, end));
             }
-            self.trace.record(
-                now,
-                GpuId(k),
-                TraceKind::Stall(format!("{subnet}@P{k} swap-in {missing_bytes}B")),
-            );
         }
         (ready, gate)
     }
@@ -723,11 +713,6 @@ impl<'a> Engine<'a> {
                         );
                         self.stages[k as usize].ready_span.insert(l, span);
                     }
-                    self.trace.record(
-                        now,
-                        GpuId(k),
-                        TraceKind::SwapInStart(format!("{}@P{k} {l}", fetch.subnet)),
-                    );
                 }
             }
         }
@@ -1016,11 +1001,6 @@ impl<'a> Engine<'a> {
                 .gpu_mut(GpuId(k))
                 .compute_mut()
                 .reserve_span(ready, wasted);
-            self.trace.record(
-                w_start,
-                GpuId(k),
-                TraceKind::Stall(format!("{subnet}.{kind}@P{k} fault, re-executing")),
-            );
             if self.tracer.enabled() {
                 self.tracer.emit(
                     SpanDraft::new(k, SpanKind::Replay, w_start.as_us(), w_end.as_us())
@@ -1062,11 +1042,6 @@ impl<'a> Engine<'a> {
             SpanId::EXTERNAL
         };
         self.stages[k as usize].busy = true;
-        let label = format!("{subnet}.{kind}@P{k}");
-        self.trace
-            .record(start, GpuId(k), TraceKind::ComputeStart(label.clone()));
-        self.trace
-            .record(end, GpuId(k), TraceKind::ComputeEnd(label));
         self.records.push(TaskRecord {
             start,
             end,
@@ -1121,11 +1096,6 @@ impl<'a> Engine<'a> {
             .gpu_mut(GpuId(k))
             .compute_mut()
             .reserve_span(now, SimDuration::from_ms(ms));
-        let label = format!("{subnet}.recompute@P{k}");
-        self.trace
-            .record(start, GpuId(k), TraceKind::ComputeStart(label.clone()));
-        self.trace
-            .record(end, GpuId(k), TraceKind::ComputeEnd(label));
         if self.tracer.enabled() {
             self.tracer.emit(
                 SpanDraft::new(k, SpanKind::Recompute, start.as_us(), end.as_us()).subnet(subnet.0),
@@ -1532,7 +1502,6 @@ impl<'a> Engine<'a> {
         PipelineOutcome {
             report,
             tasks: self.records,
-            trace: self.trace,
             subnets: self.subnets,
             obs,
             spans: self.tracer.take(),
@@ -1621,7 +1590,6 @@ mod tests {
         assert_eq!(traced.tasks, untraced.tasks);
         assert_eq!(traced.report, untraced.report);
         assert_eq!(traced.obs, untraced.obs);
-        assert_eq!(traced.trace.events().len(), untraced.trace.events().len());
         assert!(
             untraced.spans.spans().is_empty(),
             "NullTracer emits nothing"

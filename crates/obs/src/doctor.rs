@@ -16,6 +16,7 @@
 //! CLI's `--explain` flags.
 
 use crate::critical_path::{critical_path, AttrClass};
+use crate::json::{parse_json, JsonValue};
 use crate::trace::{CauseKind, SpanKind, SpanTrace};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -627,65 +628,58 @@ pub fn explain_replay(report_text: &str) -> String {
     out
 }
 
-/// Scans every `"key":<number>` pair in a flat-ish hand-rolled JSON
-/// artifact (e.g. `BENCH_compute.json`), in document order. Repeated
-/// keys get `#2`, `#3`, ... suffixes so two structurally identical
-/// artifacts pair up by position.
-pub fn scan_numeric_fields(json: &str) -> Vec<(String, f64)> {
-    let bytes = json.as_bytes();
-    let mut out: Vec<(String, f64)> = Vec::new();
+/// Every object member of `doc` whose value is a number, in document
+/// order. Repeated keys get `#2`, `#3`, ... suffixes so two structurally
+/// identical artifacts pair up by position.
+fn numeric_fields(doc: &JsonValue) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
     let mut counts: HashMap<String, usize> = HashMap::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
+    walk_members(doc, &mut |key, value| {
+        if let JsonValue::Num(v) = value {
+            let n = counts.entry(key.to_string()).or_insert(0);
+            *n += 1;
+            let name = if *n == 1 {
+                key.to_string()
+            } else {
+                format!("{key}#{n}")
+            };
+            out.push((name, *v));
         }
-        let Some(close) = json[i + 1..].find('"') else {
-            break;
-        };
-        let key = &json[i + 1..i + 1 + close];
-        let mut j = i + 1 + close + 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= bytes.len() || bytes[j] != b':' {
-            i = j;
-            continue;
-        }
-        j += 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let start = j;
-        while j < bytes.len()
-            && (bytes[j].is_ascii_digit() || matches!(bytes[j], b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            j += 1;
-        }
-        if j > start {
-            if let Ok(v) = json[start..j].parse::<f64>() {
-                let n = counts.entry(key.to_string()).or_insert(0);
-                *n += 1;
-                let name = if *n == 1 {
-                    key.to_string()
-                } else {
-                    format!("{key}#{n}")
-                };
-                out.push((name, v));
-            }
-        }
-        i = j.max(i + 1);
-    }
+    });
     out
 }
 
-/// Pairs two artifacts' numeric fields into [`BenchDelta`] rows (only
-/// keys present in both survive).
-pub fn bench_deltas(baseline_json: &str, fresh_json: &str) -> Vec<BenchDelta> {
-    let base = scan_numeric_fields(baseline_json);
-    let fresh: HashMap<String, f64> = scan_numeric_fields(fresh_json).into_iter().collect();
-    base.into_iter()
+/// Calls `visit(key, value)` for every object member in `doc`, in
+/// document order (a member before anything nested inside it).
+fn walk_members<'a>(doc: &'a JsonValue, visit: &mut impl FnMut(&'a str, &'a JsonValue)) {
+    match doc {
+        JsonValue::Obj(members) => {
+            for (k, v) in members {
+                visit(k, v);
+                walk_members(v, visit);
+            }
+        }
+        JsonValue::Arr(items) => {
+            for v in items {
+                walk_members(v, visit);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Pairs two artifacts' numeric fields (e.g. two `BENCH_compute.json`
+/// files) into [`BenchDelta`] rows; only keys present in both survive.
+///
+/// # Errors
+///
+/// Returns a message naming the side that is not valid JSON.
+pub fn bench_deltas(baseline_json: &str, fresh_json: &str) -> Result<Vec<BenchDelta>, String> {
+    let base = parse_json(baseline_json).map_err(|e| format!("baseline: {e}"))?;
+    let fresh = parse_json(fresh_json).map_err(|e| format!("candidate: {e}"))?;
+    let fresh: HashMap<String, f64> = numeric_fields(&fresh).into_iter().collect();
+    Ok(numeric_fields(&base)
+        .into_iter()
         .filter_map(|(metric, baseline)| {
             fresh.get(&metric).map(|&f| BenchDelta {
                 metric,
@@ -693,35 +687,29 @@ pub fn bench_deltas(baseline_json: &str, fresh_json: &str) -> Vec<BenchDelta> {
                 fresh: f,
             })
         })
-        .collect()
+        .collect())
 }
 
-/// Counts `"kind":"..."` occurrences in a flight dump, in first-seen
-/// order — the coarse event mix `doctor` reports per flight artifact.
-pub fn flight_kind_counts(json: &str) -> Vec<(String, u64)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut counts: HashMap<String, u64> = HashMap::new();
-    let needle = "\"kind\":\"";
-    let mut rest = json;
-    while let Some(pos) = rest.find(needle) {
-        rest = &rest[pos + needle.len()..];
-        let Some(end) = rest.find('"') else {
-            break;
+/// Counts the string-valued `"kind"` members of a flight dump, in
+/// first-seen order — the coarse event mix `doctor` reports per flight
+/// artifact.
+///
+/// # Errors
+///
+/// Returns the parser's message when `json` is not valid JSON.
+pub fn flight_kind_counts(json: &str) -> Result<Vec<(String, u64)>, String> {
+    let doc = parse_json(json)?;
+    let mut rows: Vec<(String, u64)> = Vec::new();
+    walk_members(&doc, &mut |key, value| {
+        let Some(kind) = value.as_str().filter(|_| key == "kind") else {
+            return;
         };
-        let kind = &rest[..end];
-        if !counts.contains_key(kind) {
-            order.push(kind.to_string());
+        match rows.iter_mut().find(|(k, _)| k == kind) {
+            Some((_, c)) => *c += 1,
+            None => rows.push((kind.to_string(), 1)),
         }
-        *counts.entry(kind.to_string()).or_insert(0) += 1;
-        rest = &rest[end..];
-    }
-    order
-        .into_iter()
-        .map(|k| {
-            let c = counts[&k];
-            (k, c)
-        })
-        .collect()
+    });
+    Ok(rows)
 }
 
 /// Summarizes a structured journal (`--journal PATH` / `/events`
@@ -876,22 +864,33 @@ mod tests {
     }
 
     #[test]
-    fn scan_numeric_fields_suffixes_repeats_and_pairs() {
-        let a = "{\"x\":{\"gflops\":47.0},\"y\":{\"gflops\":30.0},\"n\":3}";
+    fn bench_deltas_suffix_repeats_and_pair_by_position() {
+        let a = "{\"x\":{\"gflops\":47.0},\"y\":{\"gflops\":30.0},\"n\":3,\"s\":\"7\"}";
         let b = "{\"x\":{\"gflops\":40.0},\"y\":{\"gflops\":31.0},\"n\":3}";
-        let fields = scan_numeric_fields(a);
+        let deltas = bench_deltas(a, b).unwrap();
+        let rows: Vec<(&str, f64, f64)> = deltas
+            .iter()
+            .map(|d| (d.metric.as_str(), d.baseline, d.fresh))
+            .collect();
         assert_eq!(
-            fields,
+            rows,
             vec![
-                ("gflops".to_string(), 47.0),
-                ("gflops#2".to_string(), 30.0),
-                ("n".to_string(), 3.0)
+                ("gflops", 47.0, 40.0),
+                ("gflops#2", 30.0, 31.0),
+                ("n", 3.0, 3.0)
             ]
         );
-        let deltas = bench_deltas(a, b);
-        assert_eq!(deltas.len(), 3);
-        assert_eq!(deltas[0].fresh, 40.0);
-        assert_eq!(deltas[1].metric, "gflops#2");
+    }
+
+    #[test]
+    fn bench_deltas_reject_invalid_json() {
+        let good = "{\"n\":1}";
+        assert!(bench_deltas("{\"n\":", good)
+            .unwrap_err()
+            .starts_with("baseline"));
+        assert!(bench_deltas(good, "[")
+            .unwrap_err()
+            .starts_with("candidate"));
     }
 
     #[test]
@@ -899,9 +898,10 @@ mod tests {
         let json = "{\"events\":[{\"kind\":\"admission\"},{\"kind\":\"csp-stall\"},\
                     {\"kind\":\"admission\"}]}";
         assert_eq!(
-            flight_kind_counts(json),
+            flight_kind_counts(json).unwrap(),
             vec![("admission".to_string(), 2), ("csp-stall".to_string(), 1)]
         );
+        assert!(flight_kind_counts("{\"events\":[{\"kind\":\"adm").is_err());
     }
 
     #[test]

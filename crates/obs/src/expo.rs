@@ -19,10 +19,8 @@ use crate::telemetry::{rate_between, MetricsSnapshot, TelemetryHub};
 use crate::{Counter, Sample};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The `Content-Type` of the text exposition format this module emits.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -843,37 +841,14 @@ impl MetricsServer {
     }
 }
 
-/// Minimal HTTP client for scraping a [`MetricsServer`] (tests, the
-/// `repro telemetry` experiment, CI). Returns the response body.
-pub fn scrape(addr: impl ToSocketAddrs) -> std::io::Result<String> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let req = format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let mut parts = raw.splitn(2, "\r\n\r\n");
-    let head = parts.next().unwrap_or_default();
-    let body = parts.next().unwrap_or_default();
-    if !head.starts_with("HTTP/1.1 200") && !head.starts_with("HTTP/1.0 200") {
-        return Err(std::io::Error::other(format!(
-            "bad status: {}",
-            head.lines().next().unwrap_or_default()
-        )));
-    }
-    Ok(body.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::TeeRecorder;
     use crate::Recorder as _;
+    use std::net::TcpStream;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn busy_hub() -> Arc<TelemetryHub> {
         let hub = Arc::new(TelemetryHub::new(2, 64));
@@ -1045,17 +1020,13 @@ mod tests {
         let mut server = MetricsServer::bind("127.0.0.1:0", hub.clone(), meta).unwrap();
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0);
-        let body = scrape(addr).unwrap();
-        validate_exposition(&body).expect(&body);
-        assert!(body.contains("naspipe_tasks_total"));
-        // Non-/metrics paths 404.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
+        let get = |path| crate::ops::http_get(&addr.to_string(), path).unwrap();
+        let resp = get("/metrics");
+        assert_eq!(resp.status, 200);
+        validate_exposition(&resp.body).expect(&resp.body);
+        assert!(resp.body.contains("naspipe_tasks_total"));
+        // Unknown paths 404.
+        assert_eq!(get("/nope").status, 404);
         server.shutdown();
         // After shutdown the port stops answering.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());

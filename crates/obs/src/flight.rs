@@ -13,6 +13,7 @@
 //! fault recovery, watchdog trip, or explicit request (`--flight-dump`),
 //! so the last `capacity` events per stage survive for `naspipe doctor`.
 
+use crate::json::escape_json;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -206,7 +207,9 @@ impl FlightLog {
         let _ = write!(
             out,
             "{{\"reason\":\"{}\",\"capacity\":{},\"dropped\":{},\"events\":[",
-            reason, self.capacity, self.dropped
+            escape_json(reason),
+            self.capacity,
+            self.dropped
         );
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
@@ -308,6 +311,13 @@ mod tests {
         assert!(json.contains("\"kind\":\"watchdog-trip\""));
         assert!(json.contains("\"at_us\":12"));
         assert!(json.ends_with("]}"));
+        let reason = "say \"hi\"\n";
+        let doc = crate::json::parse_json(&rec.snapshot().to_json(reason)).expect("valid JSON");
+        assert_eq!(doc.get("reason").and_then(|r| r.as_str()), Some(reason));
+        assert_eq!(
+            doc.get("events").and_then(|e| e.as_arr()).map(|e| e.len()),
+            Some(1)
+        );
     }
 
     #[test]

@@ -55,6 +55,11 @@
 //!    and `naspipe doctor`. Still hand-rolled on `std::net`, still
 //!    bitwise zero-effect on results.
 //!
+//! Every JSON document the crate writes or reads goes through [`json`]
+//! (one escaper, one depth-limited parser), every HTTP request through
+//! [`ops::http_get`], and every latency distribution is a
+//! [`Histogram`].
+//!
 //! The crate deliberately has no dependency on `naspipe-core`: the
 //! runtimes resolve their own partition/stage types into plain
 //! `(LayerRef, stage)` pairs before talking to the checker, so the
@@ -68,6 +73,7 @@ pub mod expo;
 pub mod flight;
 pub mod invariant;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod report;
@@ -83,7 +89,7 @@ pub use doctor::{
     journal_summary, BenchDelta, Diagnosis, SpanShift, StageDelta, StallExport, StragglerRank,
 };
 pub use expo::{
-    counter_values, monotonicity_violations, render_exposition, render_exposition_ops, scrape,
+    counter_values, monotonicity_violations, render_exposition, render_exposition_ops,
     validate_exposition, MetricsServer,
 };
 pub use flight::{
@@ -91,9 +97,10 @@ pub use flight::{
 };
 pub use invariant::{CspChecker, Violation};
 pub use journal::{
-    parse_event, parse_journal, parse_json, validate_journal, Journal, JournalEvent, JournalLevel,
-    JsonValue, DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
+    parse_event, parse_journal, validate_journal, Journal, JournalEvent, JournalLevel,
+    DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
 };
+pub use json::{parse_json, JsonValue};
 pub use metrics::{Counter, Histogram, MetricsRecorder, NullRecorder, Recorder, Sample};
 pub use ops::{
     http_get, render_top, validate_status, HttpResponse, OpsServer, OpsState, RunPhase,

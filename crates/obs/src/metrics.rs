@@ -189,7 +189,8 @@ pub struct Histogram {
     pub count: u64,
     /// Sum of recorded values.
     pub sum: u64,
-    /// Smallest recorded value (0 when empty).
+    /// Smallest recorded value (`u64::MAX` sentinel when empty; see
+    /// [`min_or_zero`](Self::min_or_zero)).
     pub min: u64,
     /// Largest recorded value.
     pub max: u64,

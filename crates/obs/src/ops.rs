@@ -26,7 +26,8 @@
 //! (proven by `repro ops` and the `tests/ops_plane.rs` bitwise gate).
 
 use crate::flight::FlightRecorder;
-use crate::journal::{escape_json, Journal, JsonValue};
+use crate::journal::Journal;
+use crate::json::{escape_json, JsonValue};
 use crate::report::RunMeta;
 use crate::telemetry::{rate_between, MetricsSnapshot, StageRate, TelemetryHub};
 use crate::watchdog::WatchdogVerdictKind;
@@ -826,7 +827,8 @@ fn decode_chunked(mut rest: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{parse_journal, parse_json, JournalLevel};
+    use crate::journal::{parse_journal, JournalLevel};
+    use crate::json::parse_json;
     use crate::metrics::Counter;
 
     fn state(stages: u32) -> Arc<OpsState> {

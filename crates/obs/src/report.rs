@@ -7,6 +7,7 @@
 //! dump [`to_json`](ObsReport::to_json) for downstream tooling. The JSON
 //! is emitted by hand (no serde in the offline dependency closure).
 
+use crate::json::escape_json;
 use std::fmt::Write as _;
 
 /// Identity of the run a report (or trace) describes, stamped into the
@@ -412,11 +413,11 @@ impl ObsReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema\":{},\"meta\":{{\"engine\":{},\"stages\":{},\"seed\":{}}},\
+            "{{\"schema\":{},\"meta\":{{\"engine\":\"{}\",\"stages\":{},\"seed\":{}}},\
              \"wall_us\":{},\"bubble_ratio\":{},\"stall_ratio\":{},\
              \"cache_hit_rate\":{},\"stages\":[",
             OBS_SCHEMA_VERSION,
-            json_str(&self.meta.engine),
+            escape_json(&self.meta.engine),
             self.meta.stages,
             self.meta
                 .seed
@@ -506,11 +507,11 @@ impl ObsReport {
             }
             let _ = write!(
                 out,
-                "{{\"at_us\":{},\"kind\":{},\"stage\":{},\"detail\":{}}}",
+                "{{\"at_us\":{},\"kind\":\"{}\",\"stage\":{},\"detail\":\"{}\"}}",
                 v.at_us,
-                json_str(v.kind.name()),
+                v.kind.name(),
                 v.stage,
-                json_str(&v.detail),
+                escape_json(&v.detail),
             );
         }
         let _ = write!(
@@ -573,25 +574,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Formats a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -41,7 +41,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 512;
 /// Atomic mirror of one stage's counters and histograms.
 struct StageCells {
     counters: [AtomicU64; NUM_COUNTERS],
-    hist_count: [AtomicU64; NUM_SAMPLES],
     hist_sum: [AtomicU64; NUM_SAMPLES],
     hist_min: [AtomicU64; NUM_SAMPLES],
     hist_max: [AtomicU64; NUM_SAMPLES],
@@ -52,69 +51,10 @@ impl StageCells {
     fn new() -> Self {
         StageCells {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hist_count: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_sum: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_min: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             hist_max: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
-    }
-}
-
-/// Copy of one [`Sample`] histogram at snapshot time. Same bucketing as
-/// [`Histogram`]: `buckets[i]` counts values with bit length `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Observations recorded so far.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (`u64::MAX` sentinel when empty).
-    pub min: u64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Log2 buckets (see [`Histogram::buckets`]).
-    pub buckets: [u64; 64],
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        HistSnapshot {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; 64],
-        }
-    }
-}
-
-impl HistSnapshot {
-    fn from_histogram(h: &Histogram) -> Self {
-        HistSnapshot {
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            buckets: h.buckets,
-        }
-    }
-
-    /// Mean of the recorded values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded value, or 0 when empty.
-    pub fn min_or_zero(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
         }
     }
 }
@@ -125,14 +65,14 @@ pub struct StageSnapshot {
     /// Counter values, indexed by `Counter as usize`.
     pub counters: [u64; NUM_COUNTERS],
     /// Histogram copies, indexed by `Sample as usize`.
-    pub hists: [HistSnapshot; NUM_SAMPLES],
+    pub hists: [Histogram; NUM_SAMPLES],
 }
 
 impl Default for StageSnapshot {
     fn default() -> Self {
         StageSnapshot {
             counters: [0; NUM_COUNTERS],
-            hists: std::array::from_fn(|_| HistSnapshot::default()),
+            hists: std::array::from_fn(|_| Histogram::default()),
         }
     }
 }
@@ -144,7 +84,7 @@ impl StageSnapshot {
     }
 
     /// Histogram copy for `sample`.
-    pub fn hist(&self, sample: Sample) -> &HistSnapshot {
+    pub fn hist(&self, sample: Sample) -> &Histogram {
         &self.hists[sample as usize]
     }
 }
@@ -203,7 +143,7 @@ impl MetricsSnapshot {
                         out.counters[c as usize] = m.counter(c);
                     }
                     for s in Sample::ALL {
-                        out.hists[s as usize] = HistSnapshot::from_histogram(m.histogram(s));
+                        out.hists[s as usize] = m.histogram(s).clone();
                     }
                 }
                 out
@@ -294,7 +234,6 @@ impl TelemetryHub {
             return;
         };
         let s = sample as usize;
-        cells.hist_count[s].fetch_add(1, Ordering::Relaxed);
         cells.hist_sum[s].fetch_add(value, Ordering::Relaxed);
         cells.hist_min[s].fetch_min(value, Ordering::Relaxed);
         cells.hist_max[s].fetch_max(value, Ordering::Relaxed);
@@ -350,14 +289,17 @@ impl TelemetryHub {
                     out.counters[i] = c.load(Ordering::Relaxed);
                 }
                 for s in 0..NUM_SAMPLES {
-                    out.hists[s] = HistSnapshot {
-                        count: cells.hist_count[s].load(Ordering::Relaxed),
+                    let buckets: [u64; 64] =
+                        std::array::from_fn(|b| cells.hist_buckets[s][b].load(Ordering::Relaxed));
+                    // The count is the bucket total, not a separate cell:
+                    // writers race the copy, and a count read apart from
+                    // the buckets would let `+Inf` fall below a bucket.
+                    out.hists[s] = Histogram {
+                        count: buckets.iter().sum(),
                         sum: cells.hist_sum[s].load(Ordering::Relaxed),
                         min: cells.hist_min[s].load(Ordering::Relaxed),
                         max: cells.hist_max[s].load(Ordering::Relaxed),
-                        buckets: std::array::from_fn(|b| {
-                            cells.hist_buckets[s][b].load(Ordering::Relaxed)
-                        }),
+                        buckets,
                     };
                 }
                 out

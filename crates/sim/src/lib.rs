@@ -28,10 +28,8 @@ pub mod cluster;
 pub mod event;
 pub mod gpu;
 pub mod link;
-pub mod metrics;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
 pub use cluster::Cluster;
 pub use event::EventQueue;

@@ -704,13 +704,16 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
         args.options.get("base-bench"),
         args.options.get("cand-bench"),
     ) {
-        let rows = bench_deltas(&read(bb)?, &read(cb)?);
+        let rows = bench_deltas(&read(bb)?, &read(cb)?)
+            .map_err(|e| format!("--base-bench {bb} / --cand-bench {cb}: {e}"))?;
         print!("{}", naspipe::obs::explain_bench_check(&rows, threshold));
     }
     for (label, key) in [("base", "base-flight"), ("cand", "cand-flight")] {
         if let Some(path) = args.options.get(key) {
             println!("flight event mix, {label} ({path}):");
-            for (kind, count) in flight_kind_counts(&read(path)?) {
+            for (kind, count) in
+                flight_kind_counts(&read(path)?).map_err(|e| format!("{path}: {e}"))?
+            {
                 println!("  {kind:<18} {count}");
             }
         }
