@@ -149,10 +149,20 @@ enum Ev {
     },
 }
 
+/// The last stage-`k` backward to write one layer: `(done time, writer
+/// subnet, writer span)`. Ordered by `(t, wid)`, so the maximum over a
+/// set of candidates is the latest-finishing writer, ties going to the
+/// higher subnet id.
+type LastWrite = (SimTime, u64, SpanId);
+
 struct StageState {
     fwd_ready: Vec<SubnetId>,
     bwd_ready: Vec<(SubnetId, Vec<PendingBackward>)>,
     busy: bool,
+    // The CSP scheduler found no admissible forward here, and nothing it
+    // reads (`fwd_ready`, `finished[..=k]`, the subnet table) has changed
+    // since, so dispatch need not ask it again.
+    csp_blocked: bool,
     cache: Option<StageCache>,
     ready_at: BTreeMap<LayerRef, SimTime>,
     predictor: Predictor,
@@ -161,9 +171,10 @@ struct StageState {
     // Why each queued task will start: arrival edge + arrival time.
     fwd_cause: BTreeMap<u64, (CausalEdge, SimTime)>,
     bwd_cause: BTreeMap<u64, (CausalEdge, SimTime)>,
-    // Backward completions at this stage: subnet -> (span, done time),
-    // the CSP shared-layer writer candidates for later admissions.
-    bwd_done: BTreeMap<u64, (SpanId, SimTime)>,
+    // The latest backward at this stage to write each layer, indexed by
+    // `Engine::layer_slot`: the CSP shared-layer writer candidates for
+    // later admissions.
+    last_write: Vec<Option<LastWrite>>,
     // The fetch/prefetch span that will make each layer resident.
     ready_span: BTreeMap<LayerRef, SpanId>,
 }
@@ -322,6 +333,9 @@ struct Engine<'a> {
     finished: Vec<FinishedSet>,
     table: SubnetTable,
     scheduler: CspScheduler,
+    // Offset of each block's candidates in a flat per-layer table: layer
+    // `(b, c)` lives at `layer_slot[b] + c`.
+    layer_slot: Vec<usize>,
     subnets: Vec<Subnet>,
     injected: u64,
     completed: u64,
@@ -413,18 +427,26 @@ impl<'a> Engine<'a> {
             None
         };
 
+        let mut layer_slot = Vec::with_capacity(space.num_blocks());
+        let mut num_layers = 0;
+        for block in space.blocks() {
+            layer_slot.push(num_layers);
+            num_layers += block.num_choices() as usize;
+        }
+
         let stages = (0..d)
             .map(|_| StageState {
                 fwd_ready: Vec::new(),
                 bwd_ready: Vec::new(),
                 busy: false,
+                csp_blocked: false,
                 cache: cache.map(StageCache::new),
                 ready_at: BTreeMap::new(),
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
                 fwd_cause: BTreeMap::new(),
                 bwd_cause: BTreeMap::new(),
-                bwd_done: BTreeMap::new(),
+                last_write: vec![None; num_layers],
                 ready_span: BTreeMap::new(),
             })
             .collect();
@@ -459,6 +481,7 @@ impl<'a> Engine<'a> {
             finished: vec![FinishedSet::new(); d as usize],
             table: SubnetTable::new(),
             scheduler: CspScheduler::new(),
+            layer_slot,
             subnets,
             injected: 0,
             completed: 0,
@@ -546,6 +569,7 @@ impl<'a> Engine<'a> {
             self.table
                 .insert(subnet.clone(), partition)
                 .unwrap_or_else(|dup| panic!("injection re-used a sequence ID: {dup}"));
+            self.unblock_from(0);
             self.queue.push(
                 now,
                 Ev::FwdArrive {
@@ -757,6 +781,17 @@ impl<'a> Engine<'a> {
         pending
     }
 
+    /// Drops the blocked memo of stages `j..`: admission at stage `k`
+    /// reads `finished[..=k]` and the subnet table, so a stage-`j` write
+    /// (or a table insert, `j = 0`) can unblock exactly those stages.
+    /// Retiring needs no call: it drops only subnets finished at every
+    /// stage, which admission already skips.
+    fn unblock_from(&mut self, j: u32) {
+        for st in &mut self.stages[j as usize..] {
+            st.csp_blocked = false;
+        }
+    }
+
     fn dispatch(&mut self, k: u32, now: SimTime) {
         if self.stages[k as usize].busy {
             return;
@@ -782,12 +817,19 @@ impl<'a> Engine<'a> {
         }
         // Then a forward, policy dependent.
         let picked = if self.use_csp {
-            let choice = self.scheduler.schedule(
-                &self.stages[k as usize].fwd_ready,
-                &self.finished,
-                &self.table,
-                StageId(k),
-            );
+            let stage = &mut self.stages[k as usize];
+            let choice = if stage.csp_blocked {
+                None
+            } else {
+                let choice = self.scheduler.schedule(
+                    &stage.fwd_ready,
+                    &self.finished,
+                    &self.table,
+                    StageId(k),
+                );
+                stage.csp_blocked = choice.is_none();
+                choice
+            };
             if choice.is_none() && !self.stages[k as usize].fwd_ready.is_empty() {
                 // Candidates queued but none admissible: every one still
                 // waits on an unfinished earlier sharer (a CSP stall).
@@ -900,19 +942,25 @@ impl<'a> Engine<'a> {
                 TaskKind::Backward => stage.bwd_cause.remove(&subnet.0),
             };
             if kind == TaskKind::Forward && self.use_csp {
+                // The writer is the latest stage-k backward sharing a layer
+                // of this forward's stage-k slice. The last-write table
+                // holds writers of any id, yet its maximum is always an
+                // earlier subnet: a later sharer `w > subnet` must run its
+                // forward over the shared layer first, which CSP admits
+                // only after `subnet`'s own backward at a stage <= k — so
+                // after this admission.
                 let entry = self.table.get(subnet).expect("subnet in table");
-                let range = entry.partition.stage_range(StageId(k));
-                let writer = self.stages[k as usize]
-                    .bwd_done
-                    .iter()
-                    .filter(|(&wid, _)| wid < subnet.0)
-                    .filter(|(&wid, _)| {
-                        entry
-                            .subnet
-                            .conflicts_within(range.clone(), &self.subnets[wid as usize])
+                let last_write = &self.stages[k as usize].last_write;
+                let writer = entry
+                    .partition
+                    .stage_range(StageId(k))
+                    .filter(|&b| !entry.subnet.skips(b))
+                    .filter_map(|b| {
+                        last_write[self.layer_slot[b] + entry.subnet.choices()[b] as usize]
                     })
-                    .max_by_key(|(_, &(_, t))| t);
-                if let Some((&wid, &(src, t))) = writer {
+                    .max();
+                if let Some((t, wid, src)) = writer {
+                    debug_assert!(wid < subnet.0, "later SN{wid} wrote before {subnet} read");
                     if cause.is_none_or(|(_, ct)| t > ct) {
                         cause = Some((
                             CausalEdge {
@@ -1148,9 +1196,14 @@ impl<'a> Engine<'a> {
             }
             TaskKind::Backward => {
                 if self.tracer.enabled() {
-                    self.stages[k as usize]
-                        .bwd_done
-                        .insert(subnet.0, (span, now));
+                    let arch = &self.table.get(subnet).expect("subnet in table").subnet;
+                    let last_write = &mut self.stages[k as usize].last_write;
+                    for (b, &c) in arch.choices().iter().enumerate() {
+                        if !arch.skips(b) {
+                            let slot = &mut last_write[self.layer_slot[b] + c as usize];
+                            *slot = (*slot).max(Some((now, subnet.0, span)));
+                        }
+                    }
                 }
                 if let Some(checker) = self.checker.as_mut() {
                     checker
@@ -1158,6 +1211,7 @@ impl<'a> Engine<'a> {
                         .unwrap_or_else(|v| panic!("{v}"));
                 }
                 self.finished[k as usize].insert(subnet);
+                self.unblock_from(k);
                 if k > 0 {
                     let dt = self
                         .cluster
@@ -1287,7 +1341,9 @@ impl<'a> Engine<'a> {
             }
             match ev {
                 Ev::FwdArrive { subnet, stage, src } => {
-                    self.stages[stage as usize].fwd_ready.push(subnet);
+                    let st = &mut self.stages[stage as usize];
+                    st.fwd_ready.push(subnet);
+                    st.csp_blocked = false;
                     if self.tracer.enabled() {
                         let kind = if src.is_external() {
                             CauseKind::Injection

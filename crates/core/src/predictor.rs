@@ -79,8 +79,10 @@ impl Predictor {
     ) -> Vec<Fetch> {
         let mut fetches = Vec::new();
         // Hypothetically finish `recv` at this stage and re-run SCHEDULE().
-        let mut hypothetical = finished.to_vec();
+        // Admission at stage `k` reads no finished set above `k`, so only
+        // `finished[..=k]` is copied.
         let k = stage.0 as usize;
+        let mut hypothetical = finished[..=k].to_vec();
         if !hypothetical[k].contains(recv) {
             hypothetical[k].insert(recv);
         }

@@ -110,7 +110,9 @@ impl SubnetTable {
 /// reports <0.01 s per call against second-scale subnet executions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Number of `schedule()` calls.
+    /// Number of `schedule()` calls. The DES engine skips the call for a
+    /// stage found blocked whose inputs have not changed since, so this
+    /// counts evaluations, not dispatch attempts.
     pub calls: u64,
     /// Total queue entries scanned.
     pub scanned: u64,
@@ -122,6 +124,8 @@ pub struct SchedulerStats {
 #[derive(Debug, Clone, Default)]
 pub struct CspScheduler {
     stats: SchedulerStats,
+    // Scan order of the last call, kept so `schedule` does not allocate.
+    order: Vec<(usize, SubnetId)>,
 }
 
 impl CspScheduler {
@@ -157,9 +161,12 @@ impl CspScheduler {
         stage: StageId,
     ) -> Option<(usize, SubnetId)> {
         self.stats.calls += 1;
-        let mut order: Vec<(usize, SubnetId)> = queue.iter().copied().enumerate().collect();
-        order.sort_by_key(|&(_, id)| id);
-        for (qidx, qval) in order {
+        self.order.clear();
+        self.order.extend(queue.iter().copied().enumerate());
+        // Keyed by `(id, qidx)`, the unstable sort orders exactly as a
+        // stable sort by id would, without its scratch allocation.
+        self.order.sort_unstable_by_key(|&(qidx, id)| (id, qidx));
+        for &(qidx, qval) in &self.order {
             self.stats.scanned += 1;
             if Self::admissible(qval, finished, table, stage) {
                 self.stats.hits += 1;

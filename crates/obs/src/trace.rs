@@ -351,11 +351,7 @@ impl Tracer for SpanTracer {
     }
 
     fn take(&mut self) -> SpanTrace {
-        let mut trace = SpanTrace {
-            spans: std::mem::take(&mut self.spans),
-        };
-        trace.normalize();
-        trace
+        SpanTrace::from_spans(std::mem::take(&mut self.spans))
     }
 }
 
@@ -364,19 +360,31 @@ impl Tracer for SpanTracer {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanTrace {
     spans: Vec<Span>,
+    // Positions in `spans`, ordered by `(id, position)`: the lookup index
+    // of `get`. A pure function of `spans`, rebuilt by `normalize`, so
+    // equality and round-trips see only the spans.
+    by_id: Vec<u32>,
 }
 
 impl SpanTrace {
     /// Builds a trace from raw spans (sorting them into canonical
     /// `(start, id)` order).
     pub fn from_spans(spans: Vec<Span>) -> Self {
-        let mut trace = SpanTrace { spans };
+        let mut trace = SpanTrace {
+            spans,
+            by_id: Vec::new(),
+        };
         trace.normalize();
         trace
     }
 
     fn normalize(&mut self) {
         self.spans.sort_by_key(|s| (s.start_us, s.end_us, s.id));
+        let spans = &self.spans;
+        let len = u32::try_from(spans.len()).expect("fewer than 2^32 spans");
+        let mut by_id: Vec<u32> = (0..len).collect();
+        by_id.sort_unstable_by_key(|&i| (spans[i as usize].id, i));
+        self.by_id = by_id;
     }
 
     /// All spans in `(start, end, id)` order.
@@ -394,9 +402,16 @@ impl SpanTrace {
         self.spans.is_empty()
     }
 
-    /// The span with `id`, if present.
+    /// The span with `id`, if present (the first in time order should
+    /// ids repeat). Logarithmic in the trace length.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.spans.iter().find(|s| s.id == id)
+        let at = self
+            .by_id
+            .partition_point(|&i| self.spans[i as usize].id < id);
+        self.by_id
+            .get(at)
+            .map(|&i| &self.spans[i as usize])
+            .filter(|s| s.id == id)
     }
 
     /// Spans of one kind, in time order.
@@ -466,6 +481,27 @@ mod tests {
         assert_eq!(trace.spans()[0].id, b);
         assert_eq!(trace.get(a).unwrap().end_us, 20);
         assert!(t.is_empty(), "take drains the buffer");
+    }
+
+    #[test]
+    fn get_finds_every_span_and_only_those() {
+        let mut t = SpanTracer::new();
+        // Later emissions start earlier, so id order and time order differ.
+        let ids: Vec<SpanId> = (0..50u64)
+            .map(|i| t.emit(SpanDraft::new(0, SpanKind::Forward, 100 - i, 101 - i).subnet(i)))
+            .collect();
+        let mut trace = t.take();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(trace.get(id).unwrap().subnet, Some(i as u64));
+        }
+        assert!(trace.get(SpanId::EXTERNAL).is_none());
+        assert!(trace.get(SpanId(51)).is_none());
+        // A merge re-indexes the combined spans.
+        let mut other = SpanTracer::with_namespace(1);
+        let late = other.emit(SpanDraft::new(1, SpanKind::Backward, 0, 1));
+        trace.merge(other.take());
+        assert_eq!(trace.get(late).unwrap().stage, 1);
+        assert_eq!(trace.get(ids[7]).unwrap().subnet, Some(7));
     }
 
     #[test]
